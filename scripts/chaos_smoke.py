@@ -4,7 +4,10 @@ Runs every fault class (transient, permanent, corrupt, latency, and a
 mixed schedule) against both executors over a handful of seeds, and
 checks the chaos contract from DESIGN §9: each run either returns the
 exact fault-free answer or fails with a typed storage error.  A wrong
-answer — or an untyped exception — fails the job.
+answer — or an untyped exception — fails the job.  The corrupt class
+is then re-run on every storage organization, and each must raise at
+least one typed ``CorruptPageError`` and count detected pages, so an
+injector that silently skips a page layout cannot pass.
 
 Every engine run goes through a shared :class:`FlightRecorder`, and the
 job closes by checking the observability side of the contract
@@ -38,7 +41,7 @@ from repro.catalog import Catalog
 from repro.execution import QueryGuard, run_query
 from repro.model import Span
 from repro.obs import FlightRecorder
-from repro.storage import FaultPlan, StoredSequence
+from repro.storage import ORGANIZATION_KINDS, FaultPlan, StoredSequence
 from repro.workloads import StockSpec, generate_stock
 
 SPAN = Span(0, 499)
@@ -61,16 +64,50 @@ FAULT_CLASSES = {
 TYPED_FAILURES = (TransientStorageError, PermanentStorageError, CorruptPageError)
 
 
-def make_query(fault_plan=None):
-    """Build the smoke workload over a (possibly fault-injecting) disk."""
+def make_stored(fault_plan=None, organization="clustered"):
+    """The smoke workload's stored sequence, on a possibly faulty disk."""
     source = generate_stock(StockSpec("s", SPAN, 1.0, seed=5))
-    stored = StoredSequence.from_sequence(
-        "s", source, fault_plan=fault_plan, page_capacity=16, buffer_pages=8
+    return StoredSequence.from_sequence(
+        "s",
+        source,
+        fault_plan=fault_plan,
+        organization=organization,
+        page_capacity=16,
+        buffer_pages=8,
     )
+
+
+def make_query(fault_plan=None, stored=None):
+    """Build the smoke workload over a (possibly fault-injecting) disk."""
+    if stored is None:
+        stored = make_stored(fault_plan)
     catalog = Catalog()
     catalog.register("s", stored)
     query = base(stored, "s").window("avg", "close", 7).query()
     return query, catalog, stored
+
+
+def corruption_detected(organization: str) -> tuple[int, int]:
+    """Run the corrupt class on one organization.
+
+    Returns the number of runs that failed with a typed
+    :class:`CorruptPageError` and the total ``corrupt_pages_detected``
+    count.  Both must be positive: a fault injector that cannot tamper
+    a page layout would otherwise turn every corrupt run into an exact
+    answer, and the matrix above would still pass.
+    """
+    raised = detected = 0
+    for seed in SEEDS:
+        stored = make_stored(FaultPlan(seed, **FAULT_CLASSES["corrupt"]), organization)
+        try:
+            query, catalog, _ = make_query(stored=stored)
+            run_query(query, catalog=catalog)
+        except CorruptPageError:
+            raised += 1
+        except TYPED_FAILURES:
+            pass
+        detected += stored.counters.corrupt_pages_detected
+    return raised, detected
 
 
 def scenarios(workers: int):
@@ -164,6 +201,18 @@ def main(argv=None) -> int:
                     "produce the exact answer"
                 )
                 violations += 1
+    for organization in ORGANIZATION_KINDS:
+        raised, detected = corruption_detected(organization)
+        print(
+            f"corrupt on {organization:<9}: {raised} CorruptPageError run(s), "
+            f"{detected} page(s) detected"
+        )
+        if not raised or not detected:
+            print(
+                f"CONTRACT VIOLATION: corrupt/{organization} injected no "
+                "detected corruption"
+            )
+            violations += 1
     # The fault matrix usually kills a run during catalog registration
     # (the stats scan reads the whole faulty disk first), which never
     # reaches the engine — so force one *in-engine* typed failure to

@@ -47,6 +47,9 @@
 #      must still satisfy its pinned ratio contract, and smoke replays
 #      of the exec/parallel/profile workloads must land inside the
 #      tolerance bands around the committed ratios
+#  16. the end-to-end benchmark's own tests (e2ebench/): every workload
+#      runs with zero failed requests, so a storage or answer change
+#      that breaks the benchmark's answer-digest check fails here
 #
 # Missing optional tools are skipped with a notice, not an error, so
 # the script works in minimal containers.
@@ -131,6 +134,9 @@ run_step "profile overhead smoke" env PYTHONPATH=src \
 
 run_step "perf gate" env PYTHONPATH=src \
     python scripts/check_perf.py
+
+run_step "e2e benchmark tests" env PYTHONPATH=src \
+    python -m pytest e2ebench -q
 
 if [ "${failures}" -ne 0 ]; then
     echo "${failures} check(s) failed"

@@ -45,14 +45,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Any, Callable, Iterator, Optional, cast
+from typing import Any, Iterator, Optional, cast
 
 from repro.errors import ExecutionError
 from repro.model.batch import (
+    Chunk,
     Column,
     ColumnBatch,
     NP_DTYPES,
     column_to_list,
+    concat_columns,
     typed_column,
     vector_backend,
 )
@@ -309,125 +311,105 @@ def _scan(
     else:
         raise ExecutionError(f"scan plan without a leaf node: {plan.kind}")
     counters.scans_opened += 1
-    schema = plan.schema
-    ncols = len(schema)
-    columnar = getattr(source, "nonnull_columns", None)
-    if columnar is not None:
-        # In-memory sequences expose cached typed column buffers; the
-        # scan answers every batch with O(columns) buffer slices (dense
-        # runs) or one vectorized scatter (sparse runs) — no per-record
-        # Python objects at all.
-        yield from _scan_columnar(
-            columnar, schema, window, counters, batch_size, guard
-        )
-        return
-    bulk = getattr(source, "nonnull_items", None)
-    if bulk is not None:
-        # In-memory sequences expose their items as parallel lists; the
-        # scan then carves those with slices instead of a per-record
-        # generator hop.
-        positions, records = bulk(window)
-        total = len(positions)
-        i = 0
-        while i < total:
-            start = positions[i]
-            j = bisect_right(positions, start + batch_size - 1, i)
-            n = positions[j - 1] - start + 1
-            rows = [record.values for record in records[i:j]]
-            if j - i == n:
-                valid = [True] * n
-                columns = [
-                    typed_column(list(column), attribute.atype)
-                    for column, attribute in zip(zip(*rows), schema.attributes)
-                ]
-            else:
-                valid = [False] * n
-                columns = [[None] * n for _ in range(ncols)]
-                for position, values in zip(positions[i:j], rows):
-                    index = position - start
-                    valid[index] = True
-                    for c in range(ncols):
-                        columns[c][index] = values[c]
-            i = j
-            yield _finish(counters, ColumnBatch(schema, start, columns, valid), guard)
-        return
-    items = source.iter_nonnull(window)
-    item = next(items, None)
-    while item is not None:
-        # One batch covers at most batch_size positions, anchored at the
-        # next record: sparse regions produce no batches at all.
-        start = item[0]
-        limit = start + batch_size
-        positions: list[int] = []
-        rows: list[tuple] = []
-        while item is not None and item[0] < limit:
-            positions.append(item[0])
-            rows.append(item[1].values)
-            item = next(items, None)
-        n = positions[-1] - start + 1
-        if len(positions) == n:
-            # Dense run: transpose all value tuples in one C-level pass.
-            valid = [True] * n
-            columns = [
-                typed_column(list(column), attribute.atype)
-                for column, attribute in zip(zip(*rows), schema.attributes)
-            ]
-        else:
-            valid = [False] * n
-            columns = [[None] * n for _ in range(ncols)]
-            for position, values in zip(positions, rows):
-                index = position - start
-                valid[index] = True
-                for c in range(ncols):
-                    columns[c][index] = values[c]
-        yield _finish(counters, ColumnBatch(schema, start, columns, valid), guard)
+    # In-memory sequences supply one chunk of cached typed buffers,
+    # stored sequences one chunk per page; either way the scan carves
+    # buffers, never per-record Python objects.
+    yield from _scan_columnar(
+        source.column_chunks(window), plan.schema, counters, batch_size, guard
+    )
 
 
 def _scan_columnar(
-    columnar: Callable[[Span], tuple[list[int], tuple[Column, ...]]],
+    chunks: Iterator[Chunk],
     schema: RecordSchema,
-    window: Span,
     counters: ExecutionCounters,
     batch_size: int,
     guard: Optional[QueryGuard],
 ) -> BatchStream:
-    """Carve a sequence's cached column buffers into aligned batches."""
-    np = vector_backend()
-    positions, source_columns = columnar(window)
-    total = len(positions)
-    i = 0
-    while i < total:
-        start = positions[i]
-        j = bisect_right(positions, start + batch_size - 1, i)
-        n = positions[j - 1] - start + 1
-        if j - i == n:
-            # Dense run: the batch columns are zero-copy buffer slices.
-            columns = [column[i:j] for column in source_columns]
-            valid: Bitmask = Bitmask.full(n)
-        else:
-            pos_slice = positions[i:j]
-            index_array = None
-            if np is not None:
-                index_array = np.asarray(pos_slice, dtype="int64") - start
-                flags = np.zeros(n, dtype=bool)
-                flags[index_array] = True
-                valid = Bitmask.from_numpy(np, flags)
+    """Carve a stream of ``(positions, columns)`` chunks into batches.
+
+    A batch covers at most ``batch_size`` positions, anchored at the
+    next record, so sparse regions produce no batches at all and the
+    cut points do not depend on how the source chunks its buffers.
+    Chunks are pulled only until the next batch is known complete: the
+    source has passed the batch's last position, or is exhausted.
+    """
+    pending: list[Chunk] = []
+    exhausted = False
+    while True:
+        if not pending:
+            chunk = next(chunks, None)
+            if chunk is None:
+                return
+            pending.append(chunk)
+        limit = int(pending[0][0][0]) + batch_size
+        while not exhausted and pending[-1][0][-1] < limit:
+            chunk = next(chunks, None)
+            if chunk is None:
+                exhausted = True
             else:
-                valid = Bitmask.from_indices((p - start for p in pos_slice), n)
-            columns = []
-            for column in source_columns:
-                piece = column[i:j]
-                if index_array is not None and isinstance(piece, np.ndarray):
-                    dest: Column = np.zeros(n, dtype=piece.dtype)
-                    dest[index_array] = piece
-                else:
-                    dest = [None] * n
-                    values = piece if isinstance(piece, list) else column_to_list(piece)
-                    for p, value in zip(pos_slice, values):
-                        dest[p - start] = value
-                columns.append(dest)
-        i = j
-        yield _finish(counters, ColumnBatch(schema, start, columns, valid), guard)
+                pending.append(chunk)
+        positions = concat_columns([chunk[0] for chunk in pending])
+        columns = [
+            concat_columns([chunk[1][c] for chunk in pending])
+            for c in range(len(schema))
+        ]
+        total = len(positions)
+        i = 0
+        while i < total:
+            start = int(positions[i])
+            if not exhausted and positions[total - 1] < start + batch_size:
+                break  # the batch may continue in the next chunk
+            j = bisect_right(positions, start + batch_size - 1, i)
+            yield _finish(
+                counters, _carve(schema, start, positions, columns, i, j), guard
+            )
+            i = j
+        if i == total:
+            if exhausted:
+                return
+            pending = []
+        else:
+            pending = [(positions[i:], tuple(column[i:] for column in columns))]
+
+
+def _carve(
+    schema: RecordSchema,
+    start: int,
+    positions: Column,
+    source_columns: list[Column],
+    i: int,
+    j: int,
+) -> ColumnBatch:
+    """The batch at ``start`` holding entries ``[i, j)`` of the buffers."""
+    n = int(positions[j - 1]) - start + 1
+    if j - i == n:
+        # Dense run: the batch columns are zero-copy buffer slices.
+        return ColumnBatch(
+            schema, start, [column[i:j] for column in source_columns], Bitmask.full(n)
+        )
+    np = vector_backend()
+    pos_slice = positions[i:j]
+    index_array = None
+    if np is not None:
+        index_array = np.asarray(pos_slice, dtype="int64") - start
+        flags = np.zeros(n, dtype=bool)
+        flags[index_array] = True
+        valid = Bitmask.from_numpy(np, flags)
+    else:
+        valid = Bitmask.from_indices((p - start for p in pos_slice), n)
+    columns = []
+    for column in source_columns:
+        piece = column[i:j]
+        if index_array is not None and isinstance(piece, np.ndarray):
+            dest: Column = np.zeros(n, dtype=piece.dtype)
+            dest[index_array] = piece
+        else:
+            dest = [None] * n
+            for p, value in zip(column_to_list(pos_slice), column_to_list(piece)):
+                dest[p - start] = value
+        columns.append(dest)
+    return ColumnBatch(schema, start, columns, valid)
 
 
 # -- unit-operation chains ---------------------------------------------------

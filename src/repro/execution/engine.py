@@ -37,7 +37,7 @@ from repro.optimizer.costmodel import CostParams
 from repro.optimizer.optimizer import OptimizationResult, optimize
 from repro.optimizer.plans import PhysicalPlan
 from repro.execution.batch_streams import DEFAULT_BATCH_SIZE, build_batch_stream
-from repro.model.batch import column_to_list, vector_backend
+from repro.model.batch import concat_columns, vector_backend
 from repro.execution.counters import ExecutionCounters
 from repro.execution.guard import QueryGuard
 from repro.execution.streams import build_stream
@@ -199,22 +199,10 @@ def _run_batch(
         start = batch.start
         positions.extend(start + i for i in selected)
         parts.append(compacted)
-    columns = [_concat_column(pieces, np) for pieces in zip(*parts)] if parts else [
+    columns = [concat_columns(list(pieces)) for pieces in zip(*parts)] if parts else [
         [] for _ in schema.attributes
     ]
     return ColumnarAnswer(schema, window, positions, columns)
-
-
-def _concat_column(pieces: tuple, np) -> object:
-    """Concatenate per-batch column pieces into one answer buffer."""
-    if len(pieces) == 1:
-        return pieces[0]
-    if np is not None and all(isinstance(piece, np.ndarray) for piece in pieces):
-        return np.concatenate(pieces)
-    merged: list = []
-    for piece in pieces:
-        merged.extend(column_to_list(piece))
-    return merged
 
 
 def _run_row(

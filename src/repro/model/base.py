@@ -9,12 +9,14 @@ disk-resident variant lives in :mod:`repro.storage`.
 from __future__ import annotations
 
 import bisect
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence as PySequence
 
 from repro.errors import SchemaError, SpanError
+from repro.model.batch import Chunk, chunk_rows, typed_column
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
-from repro.model.sequence import Sequence
+from repro.model.sequence import CHUNK_RECORDS, Sequence
 from repro.model.span import Span
 
 
@@ -144,51 +146,34 @@ class BaseSequence(Sequence):
     def at(self, position: int) -> RecordOrNull:
         return self._records.get(position, NULL)
 
+    def _window_slice(self, within: Optional[Span]) -> tuple[int, int]:
+        """The index range ``[lo, hi)`` of ``_positions`` inside ``within``."""
+        window = self._span if within is None else self._span.intersect(within)
+        if window.is_empty:
+            return 0, 0
+        lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
+        hi = (
+            len(self._positions)
+            if window.end is None
+            else bisect.bisect_right(self._positions, window.end)
+        )
+        return lo, hi
+
     def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
-        window = self._span if within is None else self._span.intersect(within)
-        if window.is_empty:
-            return
-        lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
-        hi = (
-            len(self._positions)
-            if window.end is None
-            else bisect.bisect_right(self._positions, window.end)
-        )
-        for position in self._positions[lo:hi]:
-            yield position, self._records[position]
-
-    def nonnull_items(
-        self, within: Optional[Span] = None
-    ) -> tuple[list[int], list[Record]]:
-        """All items in ``within`` as parallel position/record lists.
-
-        The bulk counterpart of :meth:`iter_nonnull` for batch scans:
-        one index slice and one lookup pass instead of a per-record
-        generator hop.
-        """
-        window = self._span if within is None else self._span.intersect(within)
-        if window.is_empty:
-            return [], []
-        lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
-        hi = (
-            len(self._positions)
-            if window.end is None
-            else bisect.bisect_right(self._positions, window.end)
-        )
-        positions = self._positions[lo:hi]
+        lo, hi = self._window_slice(within)
         records = self._records
-        return positions, [records[position] for position in positions]
+        for position in self._positions[lo:hi]:
+            yield position, records[position]
 
     def nonnull_columns(
         self, within: Optional[Span] = None
     ) -> tuple[list[int], tuple[object, ...]]:
         """All items in ``within`` as positions plus per-attribute columns.
 
-        The columnar counterpart of :meth:`nonnull_items` for batch
-        scans: the full sequence is transposed into typed column
-        buffers once (cached — the sequence is immutable) and window
-        requests are answered with O(columns) buffer slices, so a scan
-        never touches per-record Python objects.
+        The full sequence is transposed into typed column buffers once
+        (cached — the sequence is immutable) and window requests are
+        answered with O(columns) buffer slices, so a scan never touches
+        per-record Python objects.
 
         Returns:
             ``(positions, columns)`` where ``columns`` has one buffer
@@ -196,8 +181,6 @@ class BaseSequence(Sequence):
         """
         cache = getattr(self, "_column_cache", None)
         if cache is None:
-            from repro.model.batch import typed_column
-
             attributes = self._schema.attributes
             positions = self._positions
             records = self._records
@@ -211,18 +194,16 @@ class BaseSequence(Sequence):
                 for values, attribute in zip(raw, attributes)
             )
             self._column_cache = cache
-        window = self._span if within is None else self._span.intersect(within)
-        if window.is_empty:
-            return [], tuple(column[0:0] for column in cache)
-        lo = 0 if window.start is None else bisect.bisect_left(self._positions, window.start)
-        hi = (
-            len(self._positions)
-            if window.end is None
-            else bisect.bisect_right(self._positions, window.end)
-        )
+        lo, hi = self._window_slice(within)
         if lo == 0 and hi == len(self._positions):
             return self._positions, cache
         return self._positions[lo:hi], tuple(column[lo:hi] for column in cache)
+
+    def column_chunks(self, within: Optional[Span] = None) -> Iterator[Chunk]:
+        """The window as a single chunk of the cached column buffers."""
+        positions, columns = self.nonnull_columns(within)
+        if positions:
+            yield positions, columns
 
     # -- extras ---------------------------------------------------------------
 
@@ -270,9 +251,9 @@ class ColumnarAnswer(BaseSequence):
     This subclass stores the columnar form instead: columnar consumers
     (:meth:`BaseSequence.nonnull_columns` — and therefore a follow-up
     batch query over the answer) are served O(columns) slices of the
-    stored buffers, while the position→record mapping that row-wise
-    access needs (``at``, ``iter_nonnull``, equality) is materialized
-    lazily, once, on first use.
+    stored buffers; ``iter_nonnull`` decodes records from the buffers
+    as it streams; and the position→record mapping that random access
+    needs (``at``, equality) is materialized lazily, once, on first use.
 
     Instances are built only by the engine; ``positions`` must be
     unique and ascending inside ``span`` and ``columns`` must hold one
@@ -299,15 +280,7 @@ class ColumnarAnswer(BaseSequence):
     def _records(self) -> dict[int, Record]:
         cache = self.__dict__.get("_materialized")
         if cache is None:
-            from itertools import repeat
-
-            from repro.model.batch import column_to_list
-
-            rows: Iterable[tuple]
-            if self._columns:
-                rows = zip(*(column_to_list(column) for column in self._columns))
-            else:
-                rows = repeat((), len(self._positions))
+            rows = chunk_rows(self._columns, len(self._positions))
             cache = dict(
                 zip(
                     self._positions,
@@ -316,3 +289,20 @@ class ColumnarAnswer(BaseSequence):
             )
             self.__dict__["_materialized"] = cache
         return cache
+
+    def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
+        """Stream records straight from the column buffers.
+
+        Unlike ``at``, this never builds the position→record mapping:
+        records are decoded
+        :data:`~repro.model.sequence.CHUNK_RECORDS` rows at a time and
+        kept by the caller only.
+        """
+        lo, hi = self._window_slice(within)
+        schema = self._schema
+        for a in range(lo, hi, CHUNK_RECORDS):
+            b = min(a + CHUNK_RECORDS, hi)
+            rows = chunk_rows([column[a:b] for column in self._columns], b - a)
+            yield from zip(
+                self._positions[a:b], map(Record.unchecked, repeat(schema), rows)
+            )

@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import Any, Iterable, Iterator, Optional
+from itertools import repeat
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SchemaError, SpanError
 from repro.model.bitmask import Bitmask, MaskLike
@@ -55,6 +56,10 @@ from repro.model.types import AtomType
 #: A column buffer: ``list`` | ``array.array`` | ``numpy.ndarray``.
 #: Typed as ``Any`` because numpy is an optional dependency.
 Column = Any
+
+#: A run of a sequence's non-Null items in columnar form: an ascending
+#: positions buffer and one buffer per attribute, parallel to it.
+Chunk = tuple[Column, tuple[Column, ...]]
 
 # -- capability probe -------------------------------------------------
 
@@ -149,6 +154,70 @@ def typed_column(values: list[Any], atype: AtomType) -> Column:
         return array(code, values)
     except (TypeError, ValueError, OverflowError):
         return values
+
+
+#: The one Python type each typed buffer hands back per atom type.
+_EXACT_TYPES: dict[AtomType, type] = {
+    AtomType.INT: int,
+    AtomType.FLOAT: float,
+    AtomType.BOOL: bool,
+}
+
+
+def exact_column(values: list[Any], atype: AtomType) -> Column:
+    """``values`` as a typed buffer only if it reads back identically.
+
+    Stricter than :func:`typed_column`, which may widen: a FLOAT column
+    holding Python ints converts to float64 and reads back floats.
+    Here a typed buffer is chosen only when every value already has the
+    Python type the buffer yields, so reading the buffer returns the
+    stored values with their types; anything else stays the list.
+    """
+    want = _EXACT_TYPES.get(atype)
+    if want is None or not set(map(type, values)) <= {want}:
+        return values
+    return typed_column(values, atype)
+
+
+def concat_columns(pieces: list[Column]) -> Column:
+    """Concatenate column buffers, keeping the common typed backend.
+
+    All-numpy pieces concatenate to a numpy buffer and same-typecode
+    ``array.array`` pieces to an array; any mix falls back to a list of
+    Python scalars.
+    """
+    if len(pieces) == 1:
+        return pieces[0]
+    np = vector_backend()
+    if np is not None and all(isinstance(piece, np.ndarray) for piece in pieces):
+        return np.concatenate(pieces)
+    first = pieces[0]
+    if isinstance(first, array) and all(
+        isinstance(piece, array) and piece.typecode == first.typecode
+        for piece in pieces
+    ):
+        joined = array(first.typecode)
+        for piece in pieces:
+            joined.extend(piece)
+        return joined
+    result: list[Any] = []
+    for piece in pieces:
+        result.extend(column_to_list(piece))
+    return result
+
+
+def column_item(column: Column, index: int) -> Any:
+    """The value at ``index`` as a Python scalar, whatever the backend."""
+    if isinstance(column, (list, array)):
+        return column[index]
+    return column.item(index)
+
+
+def chunk_rows(columns: Sequence[Column], length: int) -> Iterator[tuple[Any, ...]]:
+    """Row tuples of Python scalars across parallel column buffers."""
+    if not columns:
+        return repeat((), length)
+    return zip(*map(column_to_list, columns))
 
 
 def is_vector(column: Column) -> bool:
@@ -291,13 +360,7 @@ class ColumnBatch:
         Values come back as Python scalars regardless of the buffer
         backend (numpy scalars are unwrapped).
         """
-        values = []
-        for column in self.columns:
-            value = column[index]
-            if not isinstance(column, (list, array)):
-                value = value.item()
-            values.append(value)
-        return tuple(values)
+        return tuple([column_item(column, index) for column in self.columns])
 
     def record_at(self, position: int) -> RecordOrNull:
         """The record at an absolute position (NULL outside/invalid)."""

@@ -9,12 +9,18 @@ both random (*probed*) access via :meth:`Sequence.at` and ordered
 from __future__ import annotations
 
 import abc
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.errors import SpanError
+from repro.model.batch import Chunk, typed_column
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.span import Span
+
+#: Records per step when a record stream is transposed to columns
+#: (:meth:`Sequence.column_chunks`) or columns are decoded to records.
+CHUNK_RECORDS = 1024
 
 
 class Sequence(abc.ABC):
@@ -43,6 +49,28 @@ class Sequence(abc.ABC):
                 sequence's own span).  Required to be bounded if the
                 sequence's span is unbounded.
         """
+
+    def column_chunks(self, within: Optional[Span] = None) -> Iterator[Chunk]:
+        """Yield the non-Null items as ``(positions, columns)`` chunks.
+
+        The columnar counterpart of :meth:`iter_nonnull`, consumed by
+        batch scans: each chunk holds ascending positions and one buffer
+        per schema attribute, parallel to them; chunks are non-empty and
+        ascending.  This default transposes :meth:`iter_nonnull` in runs
+        of :data:`CHUNK_RECORDS`; in-memory and stored sequences override
+        it with the buffers they already hold.
+        """
+        attributes = self.schema.attributes
+        items = self.iter_nonnull(within)
+        while True:
+            run = list(islice(items, CHUNK_RECORDS))
+            if not run:
+                return
+            rows = [record.values for _position, record in run]
+            yield [position for position, _record in run], tuple(
+                typed_column(list(values), attribute.atype)
+                for values, attribute in zip(zip(*rows), attributes)
+            )
 
     # -- convenience ------------------------------------------------------
 

@@ -18,6 +18,7 @@ reproducible and the chaos matrix assertable.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +27,7 @@ from repro.errors import (
     StorageError,
     TransientStorageError,
 )
+from repro.model.batch import Column
 from repro.storage.counters import StorageCounters
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
@@ -62,8 +64,8 @@ class FaultPlan:
         permanent_rate: probability a read raises a
             :class:`~repro.errors.PermanentStorageError` (not retried).
         corrupt_rate: probability a read first *corrupts* the page
-            (tampering a slot without updating the checksum), so the
-            disk's checksum validation rejects it — and every later
+            (tampering one buffer value, leaving the checksum stale),
+            so the disk's checksum validation rejects it — and every later
             read of that page — with a
             :class:`~repro.errors.CorruptPageError`.
         latency_rate: probability a read is charged ``latency_ticks``
@@ -204,6 +206,26 @@ class FaultPlan:
         )
 
 
+def _tampered(column: Column, slot: int) -> Column:
+    """A copy of ``column`` whose value at ``slot`` is changed."""
+    if isinstance(column, list):
+        damaged = list(column)
+        value = damaged[slot]
+        if type(value) is str:
+            damaged[slot] = value + "\x00"
+        elif type(value) is bool:
+            damaged[slot] = not value
+        elif type(value) is int:
+            damaged[slot] = value ^ 1
+        else:
+            damaged[slot] = -value if value else 1.0
+        return damaged
+    damaged = column[:] if isinstance(column, array) else column.copy()
+    # Flip the low byte of the slot's value in the raw buffer.
+    memoryview(damaged).cast("B")[slot * damaged.itemsize] ^= 0xFF
+    return damaged
+
+
 class FaultyDisk(SimulatedDisk):
     """A :class:`SimulatedDisk` that injects faults from a plan on read.
 
@@ -215,7 +237,8 @@ class FaultyDisk(SimulatedDisk):
       (the buffer pool's retry policy re-reads, advancing the per-page
       read index so the retry gets a fresh decision);
     * ``permanent`` → :class:`~repro.errors.PermanentStorageError`;
-    * ``corrupt`` → a slot is tampered in place (checksum left stale),
+    * ``corrupt`` → one value of one page buffer is tampered (checksum
+      left stale),
       then the normal read-path validation raises
       :class:`~repro.errors.CorruptPageError` — on this read and every
       later read of the page (corruption is sticky);
@@ -236,12 +259,22 @@ class FaultyDisk(SimulatedDisk):
         self._read_counts: dict[int, int] = {}
 
     def _corrupt(self, page: Page, read_index: int) -> None:
-        """Tamper one slot in place, leaving the checksum stale."""
-        if not page.slots:
+        """Tamper one value of one buffer, leaving the checksum stale.
+
+        The tampered buffer is a copy swapped into the page, so views
+        handed out by earlier reads never change.  The choice of buffer
+        and slot is pure in ``(seed, page_id, read_index)``: the key is
+        all ints, whose hashes do not depend on ``PYTHONHASHSEED``.
+        """
+        if not len(page):
             return
-        rng = random.Random(hash((self.plan.seed, page.page_id, read_index, "slot")))
-        slot = rng.randrange(len(page.slots))
-        page.slots[slot] = ("__corrupt__",) + tuple(page.slots[slot][1:])
+        rng = random.Random(hash((self.plan.seed, page.page_id, read_index, 1)))
+        buffers = [page.positions, *page.columns]
+        which = rng.randrange(len(buffers))
+        slot = rng.randrange(len(page))
+        buffers[which] = _tampered(buffers[which], slot)
+        page.positions = buffers[0]
+        page.columns = tuple(buffers[1:])
 
     def read(self, page_id: int) -> Page:
         """Fetch a page, injecting any fault the plan schedules.

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import abc
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence as PySequence
 
 from repro.errors import CorruptPageError, StorageError
+from repro.model.batch import Chunk, column_item, column_to_list, exact_column
 from repro.model.span import Span
+from repro.model.types import AtomType
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
@@ -61,27 +64,65 @@ class PhysicalOrganization(abc.ABC):
         self._disk = disk
         self._pool = pool
         self._count = 0
+        self._atypes: tuple[AtomType, ...] = ()
 
     @property
     def record_count(self) -> int:
         """Number of stored (non-Null) records."""
         return self._count
 
-    @abc.abstractmethod
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
-        """Bulk-load ``(position, values)`` pairs sorted by position."""
+    def load(
+        self,
+        positions: list[int],
+        columns: PySequence[list[Any]],
+        atypes: PySequence[AtomType],
+    ) -> None:
+        """Bulk-load ascending ``positions`` with parallel value ``columns``."""
+        self._atypes = tuple(atypes)
+        self._place(positions, columns)
 
     @abc.abstractmethod
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
-        """Yield stored pairs within ``window`` in increasing position order."""
+    def _place(self, positions: list[int], columns: PySequence[list[Any]]) -> None:
+        """Write the loaded entries onto pages and build the access path."""
 
     @abc.abstractmethod
-    def probe(self, position: int) -> Optional[tuple]:
+    def scan(self, window: Span) -> Iterator[Chunk]:
+        """Yield non-empty per-page chunks within ``window``, in position order."""
+
+    @abc.abstractmethod
+    def probe(self, position: int) -> Optional[tuple[Any, ...]]:
         """The values stored at ``position``, or None."""
 
     @abc.abstractmethod
     def profile(self) -> AccessProfile:
         """Estimated stream/probe costs for the cost model."""
+
+    def _write_runs(
+        self, positions: list[int], columns: PySequence[list[Any]]
+    ) -> Iterator[Page]:
+        """Write the entries onto fresh data pages, one capacity-sized run each."""
+        capacity = self._disk.page_capacity
+        for lo in range(0, len(positions), capacity):
+            hi = lo + capacity
+            page = self._disk.allocate(Page.DATA)
+            page.fill(positions[lo:hi], [values[lo:hi] for values in columns], self._atypes)
+            self._count += len(page)
+            yield page
+
+
+def _scan_pages(pool: BufferPool, page_ids: PySequence[int], window: Span) -> Iterator[Chunk]:
+    """Stream position-ordered data pages, clipped to ``window``.
+
+    Reads every page from the first one until the page that holds a
+    position past the window's end.
+    """
+    for page_id in page_ids:
+        page = pool.get(page_id)
+        lo, hi = page.slots_within(window)
+        if lo < hi:
+            yield page.chunk(lo, hi)
+        if hi < len(page):
+            return
 
 
 class ClusteredOrganization(PhysicalOrganization):
@@ -91,76 +132,40 @@ class ClusteredOrganization(PhysicalOrganization):
 
     def __init__(self, disk: SimulatedDisk, pool: BufferPool):
         super().__init__(disk, pool)
-        # directory entries: (first_position, last_position, page_id)
-        self._directory: list[tuple[int, int, int]] = []
+        # The page directory: per page, its first and last position.
+        self._firsts: list[int] = []
+        self._lasts: list[int] = []
+        self._page_ids: list[int] = []
 
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
-        page: Page | None = None
-        for position, values in items:
-            if page is None or page.is_full:
-                page = self._disk.allocate(Page.DATA)
-                self._directory.append((position, position, page.page_id))
-            page.append((position, values))
-            first, _last, pid = self._directory[-1]
-            self._directory[-1] = (first, position, pid)
-            self._count += 1
+    def _place(self, positions: list[int], columns: PySequence[list[Any]]) -> None:
+        for page in self._write_runs(positions, columns):
+            self._firsts.append(page.key_at(0))
+            self._lasts.append(page.key_at(len(page) - 1))
+            self._page_ids.append(page.page_id)
 
-    def _page_index_for(self, position: int) -> Optional[int]:
-        """Directory index of the page that could hold ``position``."""
-        lo, hi = 0, len(self._directory) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            first, last, _pid = self._directory[mid]
-            if position < first:
-                hi = mid - 1
-            elif position > last:
-                lo = mid + 1
-            else:
-                return mid
-        return None
-
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
-        if window.is_empty or not self._directory:
+    def scan(self, window: Span) -> Iterator[Chunk]:
+        if window.is_empty or not self._page_ids:
             return
-        start_idx = 0
-        if window.start is not None:
-            lo, hi = 0, len(self._directory) - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                if self._directory[mid][1] < window.start:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-            start_idx = lo
-        for first, _last, page_id in self._directory[start_idx:]:
-            if window.end is not None and first > window.end:
-                return
-            page = self._pool.get(page_id)
-            for position, values in page.slots:
-                if window.end is not None and position > window.end:
-                    return
-                if position in window:
-                    yield position, values
+        first = 0 if window.start is None else bisect_left(self._lasts, window.start)
+        last = (
+            len(self._page_ids)
+            if window.end is None
+            else bisect_right(self._firsts, window.end)
+        )
+        yield from _scan_pages(self._pool, self._page_ids[first:last], window)
 
-    def probe(self, position: int) -> Optional[tuple]:
-        idx = self._page_index_for(position)
-        if idx is None:
+    def probe(self, position: int) -> Optional[tuple[Any, ...]]:
+        index = bisect_left(self._lasts, position)
+        if index == len(self._lasts) or self._firsts[index] > position:
             return None
-        page = self._pool.get(self._directory[idx][2])
-        lo, hi = 0, len(page.slots) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            slot_position, values = page.slots[mid]
-            if slot_position < position:
-                lo = mid + 1
-            elif slot_position > position:
-                hi = mid - 1
-            else:
-                return values
+        page = self._pool.get(self._page_ids[index])
+        slot = bisect_left(page.positions, position)
+        if slot < len(page) and page.key_at(slot) == position:
+            return page.values_at(slot)
         return None
 
     def profile(self) -> AccessProfile:
-        pages = max(1, len(self._directory))
+        pages = max(1, len(self._page_ids))
         return AccessProfile(stream_total=float(pages), probe_unit=1.0)
 
 
@@ -168,6 +173,11 @@ class IndexedOrganization(PhysicalOrganization):
     """Unclustered data pages under a B-tree-style position index."""
 
     kind = "indexed"
+
+    #: Column types of an index leaf (data page, slot) and of an
+    #: internal node (child node), keyed by position / largest key.
+    _LEAF_TYPES = (AtomType.INT, AtomType.INT)
+    _NODE_TYPES = (AtomType.INT,)
 
     def __init__(
         self,
@@ -184,109 +194,119 @@ class IndexedOrganization(PhysicalOrganization):
         self._root_id: Optional[int] = None
         self._height = 0
         self._leaf_ids: list[int] = []
-        self._data_page_count = 0
 
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
-        ordered = list(items)
+    def _place(self, positions: list[int], columns: PySequence[list[Any]]) -> None:
         # Scatter records across data pages in a shuffled "arrival" order
         # so a positional-order scan hops across pages (unclustered).
-        shuffled = list(ordered)
-        random.Random(self._seed).shuffle(shuffled)
-        locations: dict[int, tuple[int, int]] = {}
-        page: Page | None = None
-        for position, values in shuffled:
-            if page is None or page.is_full:
-                page = self._disk.allocate(Page.DATA)
-                self._data_page_count += 1
-            slot = page.append((position, values))
-            locations[position] = (page.page_id, slot)
-        self._count = len(locations)
+        order = list(range(len(positions)))
+        random.Random(self._seed).shuffle(order)
+        data_pages = [
+            page.page_id
+            for page in self._write_runs(
+                [positions[i] for i in order],
+                [[values[i] for i in order] for values in columns],
+            )
+        ]
+        capacity = self._disk.page_capacity
+        location = [0] * len(positions)
+        for rank, i in enumerate(order):
+            location[i] = rank
 
-        # Build index leaves in position order: entries (position, page, slot).
-        level_entries: list[tuple[int, int]] = []  # (max_key, node_page_id)
-        leaf: Page | None = None
-        for position, _values in ordered:
-            if leaf is None or leaf.is_full:
-                leaf = self._disk.allocate(Page.INDEX, capacity=self._fanout)
-                self._leaf_ids.append(leaf.page_id)
-                level_entries.append((position, leaf.page_id))
-            data_page, slot = locations[position]
-            leaf.append((position, data_page, slot))
-            level_entries[-1] = (position, leaf.page_id)
+        # Index leaves in position order: (position) -> (data page, slot).
+        keys: list[int] = []  # each node's largest key, one level at a time
+        nodes: list[int] = []
+        for lo in range(0, len(positions), self._fanout):
+            run = range(lo, min(lo + self._fanout, len(positions)))
+            leaf = self._disk.allocate(Page.INDEX, capacity=self._fanout)
+            leaf.fill(
+                positions[lo : run.stop],
+                [
+                    [data_pages[location[i] // capacity] for i in run],
+                    [location[i] % capacity for i in run],
+                ],
+                self._LEAF_TYPES,
+            )
+            self._leaf_ids.append(leaf.page_id)
+            keys.append(positions[run.stop - 1])
+            nodes.append(leaf.page_id)
 
-        self._height = 1 if level_entries else 0
+        self._height = 1 if nodes else 0
         # Build internal levels bottom-up until a single root remains.
-        while len(level_entries) > 1:
-            parents: list[tuple[int, int]] = []
-            node: Page | None = None
-            for max_key, child_id in level_entries:
-                if node is None or node.is_full:
-                    node = self._disk.allocate(Page.INDEX, capacity=self._fanout)
-                    parents.append((max_key, node.page_id))
-                node.append((max_key, child_id))
-                parents[-1] = (max_key, node.page_id)
-            level_entries = parents
+        while len(nodes) > 1:
+            parent_keys: list[int] = []
+            parents: list[int] = []
+            for lo in range(0, len(nodes), self._fanout):
+                hi = lo + self._fanout
+                node = self._disk.allocate(Page.INDEX, capacity=self._fanout)
+                node.fill(keys[lo:hi], [nodes[lo:hi]], self._NODE_TYPES)
+                parent_keys.append(keys[min(hi, len(keys)) - 1])
+                parents.append(node.page_id)
+            keys, nodes = parent_keys, parents
             self._height += 1
-        self._root_id = level_entries[0][1] if level_entries else None
+        self._root_id = nodes[0] if nodes else None
 
     def _descend(self, position: int) -> Optional[tuple[int, int]]:
         """Walk root→leaf; return (data_page, slot) or None."""
         if self._root_id is None:
             return None
         node = self._pool.get(self._root_id)
-        while node.kind == Page.INDEX and node.slots and len(node.slots[0]) == 2:
-            # internal node: entries are (max_key, child_page_id)
-            child_id = None
-            for max_key, candidate in node.slots:
-                if position <= max_key:
-                    child_id = candidate
-                    break
-            if child_id is None:
+        for _level in range(self._height - 1):
+            # Internal node: the first child whose largest key >= position.
+            slot = bisect_left(node.positions, position)
+            if slot == len(node):
                 return None
-            node = self._pool.get(child_id)
-        for entry in node.slots:
-            if entry[0] == position:
-                return entry[1], entry[2]
-            if entry[0] > position:
-                return None
+            node = self._pool.get(column_item(node.columns[0], slot))
+        slot = bisect_left(node.positions, position)
+        if slot < len(node) and node.key_at(slot) == position:
+            data_page, data_slot = node.values_at(slot)
+            return data_page, data_slot
         return None
 
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
+    def _fetch(self, data_page: int, slot: int, position: int) -> Optional[Page]:
+        """The data page holding ``position`` at ``slot``, or None on mismatch."""
+        page = self._pool.get(data_page)
+        if slot < len(page) and page.key_at(slot) == position:
+            return page
+        return None
+
+    def scan(self, window: Span) -> Iterator[Chunk]:
         if window.is_empty:
             return
         for leaf_id in self._leaf_ids:
             leaf = self._pool.get(leaf_id)
-            if not leaf.slots:
-                continue
-            last_key = leaf.slots[-1][0]
-            if window.start is not None and last_key < window.start:
-                continue
-            for position, data_page, slot in leaf.slots:
-                if window.end is not None and position > window.end:
-                    return
-                if position not in window:
-                    continue
-                page = self._pool.get(data_page)
-                entry = page.get(slot)
-                if entry is None or entry[0] != position:
-                    # The index points at a slot that no longer holds
-                    # this position: damage the checksum cannot see.
-                    raise CorruptPageError(
-                        f"index entry for position {position} does not match "
-                        f"page {data_page} slot {slot}",
-                        page_id=data_page,
-                    )
-                yield position, entry[1]
+            lo, hi = leaf.slots_within(window)
+            if lo < hi:
+                positions, (data_pages, slots) = leaf.chunk(lo, hi)
+                rows = []
+                for position, data_page, slot in zip(
+                    column_to_list(positions),
+                    column_to_list(data_pages),
+                    column_to_list(slots),
+                ):
+                    page = self._fetch(data_page, slot, position)
+                    if page is None:
+                        # The index points at a slot that no longer holds
+                        # this position: damage the checksum cannot see.
+                        raise CorruptPageError(
+                            f"index entry for position {position} does not "
+                            f"match page {data_page} slot {slot}",
+                            page_id=data_page,
+                        )
+                    rows.append(page.values_at(slot))
+                yield positions, tuple(
+                    exact_column(list(values), atype)
+                    for values, atype in zip(zip(*rows), self._atypes)
+                )
+            if hi < len(leaf):
+                return
 
-    def probe(self, position: int) -> Optional[tuple]:
+    def probe(self, position: int) -> Optional[tuple[Any, ...]]:
         location = self._descend(position)
         if location is None:
             return None
         data_page, slot = location
-        entry = self._pool.get(data_page).get(slot)
-        if entry is None or entry[0] != position:
-            return None
-        return entry[1]
+        page = self._fetch(data_page, slot, position)
+        return None if page is None else page.values_at(slot)
 
     def profile(self) -> AccessProfile:
         leaf_pages = max(1, len(self._leaf_ids))
@@ -310,38 +330,21 @@ class AppendLogOrganization(PhysicalOrganization):
         super().__init__(disk, pool)
         self._page_ids: list[int] = []
 
-    def load(self, items: Iterable[tuple[int, tuple]]) -> None:
-        page: Page | None = None
-        for position, values in items:
-            if page is None or page.is_full:
-                page = self._disk.allocate(Page.DATA)
-                self._page_ids.append(page.page_id)
-            page.append((position, values))
-            self._count += 1
+    def _place(self, positions: list[int], columns: PySequence[list[Any]]) -> None:
+        for page in self._write_runs(positions, columns):
+            self._page_ids.append(page.page_id)
 
-    def scan(self, window: Span) -> Iterator[tuple[int, tuple]]:
+    def scan(self, window: Span) -> Iterator[Chunk]:
         if window.is_empty:
             return
-        for page_id in self._page_ids:
-            page = self._pool.get(page_id)
-            if not page.slots:
-                continue
-            if window.start is not None and page.slots[-1][0] < window.start:
-                continue
-            for position, values in page.slots:
-                if window.end is not None and position > window.end:
-                    return
-                if position in window:
-                    yield position, values
+        yield from _scan_pages(self._pool, self._page_ids, window)
 
-    def probe(self, position: int) -> Optional[tuple]:
+    def probe(self, position: int) -> Optional[tuple[Any, ...]]:
         for page_id in self._page_ids:
             page = self._pool.get(page_id)
-            for slot_position, values in page.slots:
-                if slot_position == position:
-                    return values
-                if slot_position > position:
-                    return None
+            slot = bisect_left(page.positions, position)
+            if slot < len(page):
+                return page.values_at(slot) if page.key_at(slot) == position else None
         return None
 
     def profile(self) -> AccessProfile:

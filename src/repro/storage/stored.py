@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import StorageError
+from repro.model.batch import Chunk, chunk_rows, column_to_list
 from repro.model.record import NULL, Record, RecordOrNull
 from repro.model.schema import RecordSchema
 from repro.model.sequence import Sequence
@@ -118,7 +119,12 @@ class StoredSequence(Sequence):
         org = make_organization(
             organization, disk, pool, fanout=index_fanout, seed=seed
         )
-        org.load((pos, rec.values) for pos, rec in pairs)
+        columns = list(zip(*(record.values for _position, record in pairs)))
+        org.load(
+            [position for position, _record in pairs],
+            [list(values) for values in columns] or [[] for _ in schema.attributes],
+            [attribute.atype for attribute in schema.attributes],
+        )
         return cls(name, schema, org, span, counters, pool, disk=disk)
 
     @classmethod
@@ -194,13 +200,33 @@ class StoredSequence(Sequence):
         values = self._organization.probe(position)
         if values is None:
             return NULL
-        return Record(self._schema, values)
+        # Values were validated at load and the page checksum guards
+        # them since, so the record is built unchecked.
+        return Record.unchecked(self._schema, values)
 
     def iter_nonnull(self, within: Optional[Span] = None) -> Iterator[tuple[int, Record]]:
         window = self._span if within is None else self._span.intersect(within)
-        for position, values in self._organization.scan(window):
-            self._counters.records_streamed += 1
-            yield position, Record(self._schema, values)
+        schema = self._schema
+        counters = self._counters
+        unchecked = Record.unchecked
+        for positions, columns in self._organization.scan(window):
+            for position, values in zip(
+                column_to_list(positions), chunk_rows(columns, len(positions))
+            ):
+                counters.records_streamed += 1
+                yield position, unchecked(schema, values)
+
+    def column_chunks(self, within: Optional[Span] = None) -> Iterator[Chunk]:
+        """Stream the window page by page as ``(positions, columns)`` chunks.
+
+        Each chunk is one page's buffers clipped to the window, handed on
+        without decoding; ``records_streamed`` is charged per chunk.
+        """
+        window = self._span if within is None else self._span.intersect(within)
+        counters = self._counters
+        for chunk in self._organization.scan(window):
+            counters.records_streamed += len(chunk[0])
+            yield chunk
 
     def density(self) -> float:
         length = self._span.length()

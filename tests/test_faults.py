@@ -7,6 +7,11 @@ never hangs and never returns a wrong answer.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.execution.engine as engine_module
@@ -30,8 +35,9 @@ from repro.execution import (
     run_query_detailed,
     validate_execution_args,
 )
-from repro.model import Span
+from repro.model import AtomType, Span
 from repro.storage import (
+    ORGANIZATION_KINDS,
     BufferPool,
     FaultPlan,
     FaultyDisk,
@@ -86,23 +92,38 @@ def reference_answers():
 class TestPageChecksum:
     def test_running_checksum_matches_recompute(self):
         page = Page(0, 4)
-        for entry in [(1, (1.0,)), (2, (2.0,)), (3, (3.0,))]:
-            page.append(entry)
+        page.fill([1, 2, 3], [[1.0, 2.0, 3.0], ["a", "b", "c"]],
+                  [AtomType.FLOAT, AtomType.STR])
         assert page.checksum == page.compute_checksum()
         assert page.verify()
 
     def test_tampering_is_detected(self):
         page = Page(0, 4)
-        page.append((1, (1.0,)))
-        page.slots[0] = (1, (99.0,))
+        page.fill([1], [[1.0]], [AtomType.FLOAT])
+        page.columns[0][0] = 99.0
+        assert not page.verify()
+
+    @pytest.mark.parametrize("buffer", ["positions", "float", "str", "mixed"])
+    def test_tampering_any_buffer_is_detected(self, buffer):
+        page = Page(0, 4)
+        page.fill([1, 2], [[1.0, 2.0], ["a", "b"], [1, 2.5]],
+                  [AtomType.FLOAT, AtomType.STR, AtomType.FLOAT])
+        if buffer == "positions":
+            page.positions[0] = 7
+        elif buffer == "float":
+            page.columns[0][1] = 99.0
+        elif buffer == "str":
+            page.columns[1][0] = "z"
+        else:
+            page.columns[2][0] = 1.0  # equal value, different type
         assert not page.verify()
 
     def test_disk_rejects_corrupted_page(self):
         disk = SimulatedDisk(page_capacity=4)
         page = disk.allocate()
-        page.append((0, (1.0,)))
+        page.fill([0], [[1.0]], [AtomType.FLOAT])
         assert disk.read(page.page_id) is page
-        page.slots[0] = (0, (666.0,))
+        page.columns[0][0] = 666.0
         with pytest.raises(CorruptPageError) as info:
             disk.read(page.page_id)
         assert info.value.page_id == page.page_id
@@ -240,8 +261,7 @@ class TestFaultyDisk:
     def _disk(self, plan):
         disk = FaultyDisk(plan, page_capacity=4, label="t")
         page = disk.allocate()
-        page.append((0, (1.0,)))
-        page.append((1, (2.0,)))
+        page.fill([0, 1], [[1.0, 2.0]], [AtomType.FLOAT])
         return disk, page.page_id
 
     def test_transient_fault_raised_and_traced(self):
@@ -274,12 +294,31 @@ class TestFaultyDisk:
         assert [e.kind for e in plan.trace] == ["corrupt"]
 
 
+    @pytest.mark.parametrize(
+        "values, atype",
+        [
+            (["a", "b"], AtomType.STR),
+            ([True, False], AtomType.BOOL),
+            ([2**70, 1], AtomType.INT),
+            ([1, 0.0], AtomType.FLOAT),
+            ([-0.0, 2.5], AtomType.FLOAT),
+        ],
+    )
+    def test_corruption_of_any_column_kind_is_detected(self, values, atype):
+        for seed in range(8):
+            plan = FaultPlan(seed, scripted={(0, 1): "corrupt"})
+            disk = FaultyDisk(plan, page_capacity=4)
+            disk.allocate().fill([0, 1], [values], [atype])
+            with pytest.raises(CorruptPageError):
+                disk.read(0)
+
+
 class TestBufferPool:
     def test_retry_absorbs_transient_faults(self):
         plan = FaultPlan(0, scripted={(0, 1): "transient", (0, 2): "transient"})
         disk = FaultyDisk(plan, page_capacity=4)
         page = disk.allocate()
-        page.append((0, (1.0,)))
+        page.fill([0], [[1.0]], [AtomType.FLOAT])
         pool = BufferPool(disk, capacity=2, retry_policy=RetryPolicy(max_attempts=4))
         assert pool.get(0) is page
         assert disk.counters.retries_attempted == 2
@@ -288,7 +327,7 @@ class TestBufferPool:
     def test_retry_exhaustion_surfaces(self):
         plan = FaultPlan(0, scripted={(0, r): "transient" for r in range(1, 10)})
         disk = FaultyDisk(plan, page_capacity=4)
-        disk.allocate().append((0, (1.0,)))
+        disk.allocate().fill([0], [[1.0]], [AtomType.FLOAT])
         pool = BufferPool(disk, capacity=2, retry_policy=RetryPolicy(max_attempts=3))
         with pytest.raises(TransientStorageError):
             pool.get(0)
@@ -339,6 +378,28 @@ class TestChaosMatrix:
                 continue  # a typed failure is an acceptable outcome
             assert answer.to_pairs() == reference_answers[shape]
 
+    @pytest.mark.parametrize("organization", ORGANIZATION_KINDS)
+    def test_corruption_is_injected_and_detected(self, organization):
+        """A corrupting plan must really corrupt, on every organization.
+
+        Without this, a fault injector that silently skips a page layout
+        turns every corrupt run into an exact answer and the matrix
+        above still passes.
+        """
+        raised = detected = 0
+        for seed in range(3):
+            stored = make_stored(
+                fault_plan=FaultPlan(seed, **self.KINDS["corrupt"]),
+                organization=organization,
+            )
+            try:
+                run_on(stored, select_query)
+            except CorruptPageError:
+                raised += 1
+            detected += stored.counters.corrupt_pages_detected
+        assert raised >= 1
+        assert detected > 0
+
     def test_latency_never_fails(self, reference_answers):
         for mode in ("batch", "row"):
             plan = FaultPlan(1, latency_rate=0.5, latency_ticks=2)
@@ -376,6 +437,54 @@ class TestDeterminism:
             pairs = run_on(stored, mode=mode).to_pairs()
             results[mode] = (pairs, self._trace(plan))
         assert results["batch"] == results["row"]
+
+
+class TestCorruptionIsDeterministic:
+    """The tampered value is pure in (seed, page, read), in any process."""
+
+    SCRIPT = """
+from repro.errors import CorruptPageError
+from repro.model import AtomType
+from repro.storage import FaultPlan, FaultyDisk
+
+disk = FaultyDisk(FaultPlan(7, scripted={(0, 1): "corrupt"}), page_capacity=64)
+page = disk.allocate()
+page.fill(
+    list(range(64)),
+    [[float(i) for i in range(64)], [str(i) for i in range(64)]],
+    [AtomType.FLOAT, AtomType.STR],
+)
+before = [list(page.positions), *map(list, page.columns)]
+try:
+    disk.read(0)
+except CorruptPageError:
+    pass
+after = [list(page.positions), *map(list, page.columns)]
+print([
+    (buffer, slot)
+    for buffer, (old, new) in enumerate(zip(before, after))
+    for slot, (a, b) in enumerate(zip(old, new))
+    if a != b
+])
+"""
+
+    def _tampered(self, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        return result.stdout.strip()
+
+    def test_same_slot_under_any_hash_seed(self):
+        picks = {self._tampered(seed) for seed in (1, 2)}
+        assert len(picks) == 1
+        (pick,) = picks
+        assert pick.count("(") == 1  # exactly one value was tampered
 
 
 class TestQueryGuard:

@@ -21,18 +21,23 @@ def items(positions):
 
 
 class TestPage:
-    def test_append_and_get(self):
+    def test_fill_and_read_back(self):
         page = Page(0, 2)
-        assert page.append((1, "a")) == 0
-        assert page.get(0) == (1, "a")
-        assert page.get(5) is None
+        page.fill([1, 4], [["a", "b"], [1.5, 2.5]], [AtomType.STR, AtomType.FLOAT])
+        assert len(page) == 2 and page.is_full
+        assert page.key_at(1) == 4
+        assert page.values_at(0) == ("a", 1.5)
+        assert page.slots_within(Span(2, 9)) == (1, 2)
+        positions, columns = page.chunk(1, 2)
+        assert list(positions) == [4] and [list(c) for c in columns] == [["b"], [2.5]]
+        assert page.verify()
 
     def test_full(self):
         page = Page(0, 1)
-        page.append((1, "a"))
+        with pytest.raises(StorageError, match="full"):
+            page.fill([1, 2], [["a", "b"]], [AtomType.STR])
+        page.fill([1], [["a"]], [AtomType.STR])
         assert page.is_full
-        with pytest.raises(StorageError):
-            page.append((2, "b"))
 
     def test_bad_capacity(self):
         with pytest.raises(StorageError):
